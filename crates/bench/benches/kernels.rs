@@ -16,7 +16,7 @@ use fakequakes::noise::NoiseModel;
 use fakequakes::rupture::{RuptureConfig, RuptureGenerator};
 use fakequakes::stations::StationNetwork;
 use fakequakes::stochastic::FieldMethod;
-use fakequakes::waveform::{synthesize_all_stations, synthesize_all_stations_seq, WaveformConfig};
+use fakequakes::waveform::{synthesize_all_stations, WaveformConfig};
 use fakequakes::{artifacts, npy};
 
 fn bench_rupture(c: &mut Criterion) {
@@ -99,19 +99,6 @@ fn bench_waveform(c: &mut Criterion) {
     group.bench_function("rayon", |b| {
         b.iter(|| {
             synthesize_all_stations(
-                &fault,
-                &gfs,
-                &d.station_to_subfault,
-                black_box(&scenario),
-                &cfg,
-                1,
-            )
-            .unwrap()
-        });
-    });
-    group.bench_function("sequential", |b| {
-        b.iter(|| {
-            synthesize_all_stations_seq(
                 &fault,
                 &gfs,
                 &d.station_to_subfault,

@@ -195,12 +195,47 @@ mod tests {
         );
     }
 
+    /// The picker's trigger rate under GNSS noise does not depend on which
+    /// noise generator drew it. Over noise seeds 1..=400 on the same quiet
+    /// record, the trigger counts with `generate` and the frozen
+    /// `generate_reference` differ by less than 3 standard errors of the
+    /// difference of two binomial counts. The picker fires on only about
+    /// a quarter of noisy realisations of this record, so no single seed
+    /// says anything about picker robustness.
     #[test]
-    fn picker_survives_noise() {
-        let w = waveform(NoiseModel::default());
-        // With cm-level noise on a Mw 8.6 near-field record the trigger
-        // must still fire.
-        assert!(sta_lta_pick(&w, 5, 30, 4.0).is_some());
+    fn picker_trigger_rate_is_generator_invariant() {
+        let quiet = waveform(NoiseModel::none());
+        let n = quiet.len();
+        let h = NoiseModel::default();
+        let models = [h, h, h.vertical()];
+        let triggers = |gen: &dyn Fn(&NoiseModel, u64) -> Vec<f64>| {
+            (1..=400u64)
+                .filter(|&seed| {
+                    let mut w = quiet.clone();
+                    for (c, (series, m)) in [&mut w.east_m, &mut w.north_m, &mut w.up_m]
+                        .into_iter()
+                        .zip(&models)
+                        .enumerate()
+                    {
+                        let noise = gen(m, seed * 3 + c as u64);
+                        for (s, nz) in series.iter_mut().zip(noise) {
+                            *s += nz;
+                        }
+                    }
+                    sta_lta_pick(&w, 5, 30, 4.0).is_some()
+                })
+                .count() as f64
+        };
+        let fast = triggers(&|m, seed| m.generate(n, quiet.dt_s, seed));
+        let reference = triggers(&|m, seed| m.generate_reference(n, quiet.dt_s, seed));
+        let p = (fast + reference) / 800.0;
+        let se_diff = (2.0 * 400.0 * p * (1.0 - p)).sqrt();
+        assert!(
+            (fast - reference).abs() < 3.0 * se_diff,
+            "triggers {fast} vs reference {reference} of 400 (3 SE = {:.1})",
+            3.0 * se_diff
+        );
+        assert!(reference > 0.0, "the noisy record never triggers");
     }
 
     #[test]

@@ -146,6 +146,7 @@ mod tests {
     use super::*;
     use crate::noise::NoiseModel;
     use crate::stations::ChileanInput;
+    use crate::stf::StfKind;
 
     fn quick_catalog(n: u64) -> Catalog {
         let fault = FaultModel::chilean_subduction(10, 5).unwrap();
@@ -222,6 +223,46 @@ mod tests {
             for (wa, wb) in a.iter().zip(b) {
                 assert_eq!(wa.east_m, wb.east_m);
             }
+        }
+    }
+
+    /// Digests of noiseless catalogs, captured before the noise model was
+    /// rewritten: a silent model must leave every sample's bits alone.
+    #[test]
+    fn silent_noise_catalog_bytes_are_pinned() {
+        let fault = FaultModel::chilean_subduction(10, 5).unwrap();
+        let net = StationNetwork::chilean(6, 3).unwrap();
+        for (stf, pinned) in [
+            (StfKind::Dreger, 0x7f6a_132d_6106_cc98),
+            (StfKind::Cosine, 0x87ee_cf29_ed34_0de0),
+            (StfKind::Triangle, 0xf3c2_fdba_6392_62ee),
+        ] {
+            let wcfg = WaveformConfig {
+                duration_s: 128.0,
+                stf,
+                noise: NoiseModel::none(),
+                ..Default::default()
+            };
+            let c = generate_catalog(
+                &fault,
+                &net,
+                None,
+                None,
+                RuptureConfig::default(),
+                wcfg,
+                2,
+                9,
+            )
+            .unwrap();
+            let samples: Vec<f64> = c
+                .waveforms
+                .iter()
+                .flatten()
+                .flat_map(|w| w.east_m.iter().chain(&w.north_m).chain(&w.up_m))
+                .copied()
+                .collect();
+            let digest = crate::stochastic::fnv1a_f64(&samples);
+            assert_eq!(digest, pinned, "{}: {digest:#018x}", stf.label());
         }
     }
 

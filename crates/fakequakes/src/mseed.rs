@@ -187,16 +187,57 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-free
-/// bitwise implementation — transfer-integrity checks are not hot.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Slicing-by-8 lookup tables for [`crc32`]: `CRC_TABLES[0]` is the
+/// classic byte table, and `CRC_TABLES[s][b]` is the CRC of byte `b`
+/// followed by `s` zero bytes, so eight table lookups fold eight input
+/// bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut s = 1;
+    while s < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[s - 1][i];
+            t[s][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        s += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), slicing-by-8.
+/// Every `.mseed` write and read runs it over the whole sample payload.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][c[4] as usize]
+            ^ t[2][c[5] as usize]
+            ^ t[1][c[6] as usize]
+            ^ t[0][c[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }

@@ -51,6 +51,20 @@ impl StfKind {
         }
     }
 
+    /// Time after onset from which [`Self::cumulative`] returns exactly
+    /// `1.0`, for every `t > 0` with `t >= saturation_s(rise_s)`.
+    ///
+    /// Dreger saturates at `x = t/τ ≥ 42` (`14·rise_s`), where
+    /// `e^{-x}(1+x) < 2.5e-17`, under the half-ulp below 1 (2^-54), so
+    /// `1 - e^{-x}(1+x)` rounds to 1. Cosine and triangle reach 1 at the
+    /// rise time itself.
+    pub fn saturation_s(self, rise_s: f64) -> f64 {
+        match self {
+            StfKind::Dreger => 14.0 * rise_s,
+            StfKind::Cosine | StfKind::Triangle => rise_s,
+        }
+    }
+
     /// Instantaneous slip rate (derivative of [`Self::cumulative`]) —
     /// useful for velocity waveforms and tests.
     pub fn rate(self, t: f64, rise_s: f64) -> f64 {

@@ -245,7 +245,7 @@ struct FactorKey {
 /// FNV-1a over the raw bit patterns of a float slice — cheap (O(n²) for
 /// a distance matrix vs the O(n³) factorisation it guards) and exact:
 /// any bitwise difference in the distances produces a different key.
-fn fnv1a_f64(xs: &[f64]) -> u64 {
+pub(crate) fn fnv1a_f64(xs: &[f64]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for x in xs {
         for b in x.to_bits().to_le_bytes() {

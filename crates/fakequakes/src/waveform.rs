@@ -117,6 +117,22 @@ impl GnssWaveform {
     }
 }
 
+/// First sample index `k < n` whose time `k·dt` satisfies `pred`, or `n`.
+/// `pred` must be monotone in `t` (false, then true). The guess from
+/// `t_guess / dt` is corrected by exact evaluations of `pred` in both
+/// directions, so floating-point rounding of the quotient cannot
+/// mis-classify a sample.
+fn first_sample(n: usize, dt: f64, t_guess: f64, pred: impl Fn(f64) -> bool) -> usize {
+    let mut k = ((t_guess / dt).max(0.0) as usize).min(n);
+    while k > 0 && pred((k - 1) as f64 * dt) {
+        k -= 1;
+    }
+    while k < n && !pred(k as f64 * dt) {
+        k += 1;
+    }
+    k
+}
+
 /// Synthesise the waveform for one (scenario, station) pair.
 ///
 /// `station_idx` indexes both `gfs.stations()` and the rows of
@@ -159,19 +175,14 @@ pub fn synthesize_station(
         let travel = station_distances[(station_idx, j)] / config.s_wave_kms;
         let t0 = onset + travel;
         let rise = scenario.rise_time_s[j];
-        // Hoist the onset test out of the sample loop: find the first k
-        // with `k·dt > t0` (the same predicate the loop used to evaluate
-        // per sample). The guess from division is corrected by exact
-        // comparisons in both directions, so no sample is mis-classified
-        // by floating-point rounding of the quotient.
-        let mut k_start = ((t0 / config.dt_s).max(0.0) as usize).min(n);
-        while k_start > 0 && (k_start - 1) as f64 * config.dt_s > t0 {
-            k_start -= 1;
-        }
-        while k_start < n && k_start as f64 * config.dt_s <= t0 {
-            k_start += 1;
-        }
-        for k in k_start..n {
+        let sat = config.stf.saturation_s(rise);
+        // Hoist the per-sample tests out of the loop: samples before
+        // `k_start` precede onset, and from `k_sat` on the STF is exactly
+        // 1, so those samples add the full static response without an STF
+        // call. Both bounds use the loop's own `t = k·dt` arithmetic.
+        let k_start = first_sample(n, config.dt_s, t0, |t| t > t0);
+        let k_sat = k_start.max(first_sample(n, config.dt_s, t0 + sat, |t| t - t0 >= sat));
+        for k in k_start..k_sat {
             let t = k as f64 * config.dt_s;
             let f = config.stf.cumulative(t - t0, rise);
             if f <= 0.0 {
@@ -181,6 +192,16 @@ pub fn synthesize_station(
             east[k] += resp.e * s;
             north[k] += resp.n * s;
             up[k] += resp.u * s;
+        }
+        let (de, dn, du) = (resp.e * slip, resp.n * slip, resp.u * slip);
+        for ((e, no), u) in east[k_sat..]
+            .iter_mut()
+            .zip(&mut north[k_sat..])
+            .zip(&mut up[k_sat..])
+        {
+            *e += de;
+            *no += dn;
+            *u += du;
         }
     }
 
@@ -196,12 +217,8 @@ pub fn synthesize_station(
     ]
     .into_iter()
     .enumerate()
-    .map(|(i, p)| (i as u64, p))
     {
-        let noise = model.generate(n, config.dt_s, base.wrapping_add(c * 7919));
-        for (s, nz) in series.iter_mut().zip(noise) {
-            *s += nz;
-        }
+        model.add_to(series, config.dt_s, base.wrapping_add(c as u64 * 7919));
     }
 
     Ok(GnssWaveform {
@@ -228,31 +245,6 @@ pub fn synthesize_all_stations(
     (0..gfs.n_stations())
         // fdwlint::allow(raw-parallelism): ordered indexed map — each station is a pure function of its index and collect preserves order, so parallel == sequential bitwise
         .into_par_iter()
-        .map(|si| {
-            synthesize_station(
-                fault,
-                gfs,
-                station_distances,
-                scenario,
-                si,
-                config,
-                noise_seed,
-            )
-        })
-        .collect()
-}
-
-/// Sequential variant of [`synthesize_all_stations`] for the
-/// Rayon-vs-sequential ablation bench.
-pub fn synthesize_all_stations_seq(
-    fault: &FaultModel,
-    gfs: &GfLibrary,
-    station_distances: &Matrix,
-    scenario: &RuptureScenario,
-    config: &WaveformConfig,
-    noise_seed: u64,
-) -> FqResult<Vec<GnssWaveform>> {
-    (0..gfs.n_stations())
         .map(|si| {
             synthesize_station(
                 fault,
@@ -425,19 +417,86 @@ mod tests {
             2,
         )
         .unwrap();
-        let seq = synthesize_all_stations_seq(
-            &fx.fault,
-            &fx.gfs,
-            &fx.dists.station_to_subfault,
-            &fx.scenario,
-            &cfg,
-            2,
-        )
-        .unwrap();
-        assert_eq!(par.len(), seq.len());
-        for (a, b) in par.iter().zip(&seq) {
+        assert_eq!(par.len(), fx.gfs.n_stations());
+        for (si, a) in par.iter().enumerate() {
+            let b = synthesize_station(
+                &fx.fault,
+                &fx.gfs,
+                &fx.dists.station_to_subfault,
+                &fx.scenario,
+                si,
+                &cfg,
+                2,
+            )
+            .unwrap();
             assert_eq!(a.east_m, b.east_m);
             assert_eq!(a.station_code, b.station_code);
+        }
+    }
+
+    /// The per-sample STF loop `synthesize_station` ran before the
+    /// saturated tail was split off: every post-onset sample calls
+    /// `cumulative`. Quiet records only (no noise).
+    fn quiet_station_per_sample(fx: &Fixture, si: usize, cfg: &WaveformConfig) -> [Vec<f64>; 3] {
+        let n = cfg.n_samples();
+        let (mut east, mut north, mut up) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        for (j, resp) in fx.gfs.stations()[si].responses.iter().enumerate() {
+            let slip = fx.scenario.slip_m[j];
+            if slip <= 0.0 {
+                continue;
+            }
+            let t0 =
+                fx.scenario.onset_s[j] + fx.dists.station_to_subfault[(si, j)] / cfg.s_wave_kms;
+            let samples = east.iter_mut().zip(&mut north).zip(&mut up);
+            for (k, ((e, no), u)) in samples.enumerate() {
+                let t = k as f64 * cfg.dt_s;
+                if t <= t0 {
+                    continue;
+                }
+                let f = cfg.stf.cumulative(t - t0, fx.scenario.rise_time_s[j]);
+                if f <= 0.0 {
+                    continue;
+                }
+                let s = slip * f;
+                *e += resp.e * s;
+                *no += resp.n * s;
+                *u += resp.u * s;
+            }
+        }
+        [east, north, up]
+    }
+
+    #[test]
+    fn saturated_tail_matches_per_sample_loop_bitwise() {
+        let fx = fixture();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for stf in [StfKind::Dreger, StfKind::Cosine, StfKind::Triangle] {
+            // A fractional interval puts onsets and saturation points
+            // between samples as well as on them.
+            for dt_s in [1.0, 0.7] {
+                let cfg = WaveformConfig {
+                    stf,
+                    dt_s,
+                    ..quiet_config()
+                };
+                for si in 0..fx.gfs.n_stations() {
+                    let w = synthesize_station(
+                        &fx.fault,
+                        &fx.gfs,
+                        &fx.dists.station_to_subfault,
+                        &fx.scenario,
+                        si,
+                        &cfg,
+                        1,
+                    )
+                    .unwrap();
+                    let [e, n, u] = quiet_station_per_sample(&fx, si, &cfg);
+                    let label = format!("{} dt {dt_s} station {si}", stf.label());
+                    assert_eq!(bits(&w.east_m), bits(&e), "{label}");
+                    assert_eq!(bits(&w.north_m), bits(&n), "{label}");
+                    assert_eq!(bits(&w.up_m), bits(&u), "{label}");
+                }
+            }
         }
     }
 

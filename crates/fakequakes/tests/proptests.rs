@@ -18,6 +18,20 @@ use fakequakes::vonkarman::{von_karman_kernel, VonKarman};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// The bit-serial CRC-32 that `mseed::crc32` replaced: eight shift/xor
+/// steps per byte, no table. The oracle the table-driven CRC must match.
+fn crc32_bitwise(data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in data {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+        }
+    }
+    !crc
+}
+
 fn finite_f64() -> impl Strategy<Value = f64> {
     // Payload values that survive exact roundtrips.
     prop_oneof![
@@ -101,6 +115,20 @@ proptest! {
     }
 
     #[test]
+    fn stf_is_exactly_one_from_saturation(
+        kind in 0usize..3,
+        rise in prop_oneof![Just(0.0), 1e-3..1e3f64],
+        past in prop_oneof![Just(0.0), 0.0..1.0f64, 0.0..1e4f64],
+    ) {
+        let stf = [StfKind::Dreger, StfKind::Cosine, StfKind::Triangle][kind];
+        let sat = stf.saturation_s(rise);
+        // `t = 0` is the onset itself and returns 0 by design, even for a
+        // zero rise time.
+        let t = if sat + past > 0.0 { sat + past } else { f64::MIN_POSITIVE };
+        prop_assert_eq!(stf.cumulative(t, rise), 1.0, "{} rise {} t {}", stf.label(), rise, t);
+    }
+
+    #[test]
     fn npy_roundtrip_arbitrary_matrices(
         rows in 1usize..12,
         cols in 1usize..12,
@@ -140,6 +168,17 @@ proptest! {
         let idx = (bit as usize / 8) % corrupted.len();
         corrupted[idx] ^= 1 << (bit % 8);
         prop_assert_ne!(crc32(&data), crc32(&corrupted));
+    }
+
+    #[test]
+    fn crc_table_matches_bitwise_oracle(
+        data in proptest::collection::vec(any::<u8>(), 0..600),
+        offset in 0usize..16,
+    ) {
+        // Unaligned starts and every remainder length past the 8-byte
+        // slices.
+        let tail = &data[offset.min(data.len())..];
+        prop_assert_eq!(crc32(tail), crc32_bitwise(tail));
     }
 
     #[test]

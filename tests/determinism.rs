@@ -211,15 +211,20 @@ fn parallel_waveform_mseed_bytes_match_sequential() {
         5,
     )
     .unwrap();
-    let seq = waveform::synthesize_all_stations_seq(
-        &fault,
-        &gfs,
-        &dists.station_to_subfault,
-        &scenario,
-        &cfg,
-        5,
-    )
-    .unwrap();
+    let seq: Vec<GnssWaveform> = (0..gfs.n_stations())
+        .map(|si| {
+            waveform::synthesize_station(
+                &fault,
+                &gfs,
+                &dists.station_to_subfault,
+                &scenario,
+                si,
+                &cfg,
+                5,
+            )
+            .unwrap()
+        })
+        .collect();
     assert_eq!(to_bytes(&par), to_bytes(&seq), "waveform .mseed bytes");
 }
 
