@@ -226,16 +226,17 @@ mod tests {
         }
     }
 
-    /// Digests of noiseless catalogs, captured before the noise model was
-    /// rewritten: a silent model must leave every sample's bits alone.
+    /// Digests of noiseless catalogs: a silent noise model must leave
+    /// every sample's bits alone. Captured on the trapezoid `K_ν`
+    /// quadrature, whose covariance bits every slip draw inherits.
     #[test]
     fn silent_noise_catalog_bytes_are_pinned() {
         let fault = FaultModel::chilean_subduction(10, 5).unwrap();
         let net = StationNetwork::chilean(6, 3).unwrap();
         for (stf, pinned) in [
-            (StfKind::Dreger, 0x7f6a_132d_6106_cc98),
-            (StfKind::Cosine, 0x87ee_cf29_ed34_0de0),
-            (StfKind::Triangle, 0xf3c2_fdba_6392_62ee),
+            (StfKind::Dreger, 0x6539_22ae_61a7_fd28),
+            (StfKind::Cosine, 0x8777_9c19_cc09_d4dc),
+            (StfKind::Triangle, 0x9be0_1287_dec6_6889),
         ] {
             let wcfg = WaveformConfig {
                 duration_s: 128.0,

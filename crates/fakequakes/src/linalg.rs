@@ -547,35 +547,56 @@ impl Matrix {
             tri_vecs.push(x);
         }
 
-        // Back-transform through the Householder reflectors and pack.
-        let mut out = Matrix::zeros(n, k);
-        let refl = &red.basis;
-        let hs = &red.hs;
-        for (j, tv) in tri_vecs.iter().enumerate() {
-            let mut x = tv.clone();
-            for i in 2..n {
-                if hs[i] == 0.0 {
-                    continue;
-                }
-                let u = &refl.row(i)[..i];
-                let mut t = 0.0;
-                for (uv, xv) in u.iter().zip(&x[..i]) {
-                    t += uv * xv;
-                }
-                t /= hs[i];
-                for (uv, xv) in u.iter().zip(&mut x[..i]) {
-                    *xv -= t * uv;
+        // Back-transform through the Householder reflectors, applying
+        // each one to all k vectors at once: `x` holds them as columns
+        // of an n × k row-major matrix, so every vector's dot product
+        // still sums over m ascending while the inner loops run along
+        // contiguous rows.
+        let mut x = Matrix::from_fn(n, k, |m, j| tri_vecs[j][m]);
+        let mut t = vec![0.0; k];
+        for (i, &h) in red.hs.iter().enumerate().skip(2) {
+            if h == 0.0 {
+                continue;
+            }
+            let u = &red.basis.row(i)[..i];
+            t.fill(0.0);
+            for (m, um) in u.iter().enumerate() {
+                for (tj, xv) in t.iter_mut().zip(x.row(m)) {
+                    *tj += um * xv;
                 }
             }
-            canonicalize_sign(&mut x);
-            for i in 0..n {
-                out[(i, j)] = x[i];
+            for tj in &mut t {
+                *tj /= h;
+            }
+            for (m, um) in u.iter().enumerate() {
+                for (xv, tj) in x.data[m * k..(m + 1) * k].iter_mut().zip(&t) {
+                    *xv -= tj * um;
+                }
             }
         }
-        Ok((vals, out))
+        let mut col = vec![0.0; n];
+        for j in 0..k {
+            for (m, c) in col.iter_mut().enumerate() {
+                *c = x[(m, j)];
+            }
+            canonicalize_sign(&mut col);
+            for (m, c) in col.iter().enumerate() {
+                x[(m, j)] = *c;
+            }
+        }
+        Ok((vals, x))
     }
 
     /// Householder reduction to tridiagonal form (a `tred2` port).
+    ///
+    /// Reads only the lower triangle, like `tred2`, but mirrors it first
+    /// and keeps the working block full-square: step `i` updates whole
+    /// rows `a[j][0..=l] -= u_j·e_k + e_j·u_k`, and each mirrored pair
+    /// computes `u_j·e_k + e_j·u_k` against `u_k·e_j + e_k·u_j` — equal
+    /// bits, since IEEE products and sums commute exactly. The block so
+    /// stays bitwise symmetric, and the `g` sum reads row `j`
+    /// contiguously in the ascending-`k` order `tred2` spread over row
+    /// `j` and (stride `n`) column `j`: same `d`, `e`, `hs` and reflectors.
     ///
     /// With `accumulate`, `basis` row `k` holds column `k` of the
     /// orthogonal `Q` with `A = Q T Qᵀ` (transposed storage so QL can
@@ -591,6 +612,11 @@ impl Matrix {
         let mut hs = vec![0.0; n];
         if n == 0 {
             return Tridiag { d, e, basis: a, hs };
+        }
+        for i in 1..n {
+            for j in 0..i {
+                a[(j, i)] = a[(i, j)];
+            }
         }
         for i in (1..n).rev() {
             let l = i - 1;
@@ -613,28 +639,31 @@ impl Matrix {
                     e[i] = scale * g;
                     h -= f * g;
                     a[(i, l)] = f - g;
+                    // Rows 0..=l are the working block, row i is u.
+                    let (block, rest) = a.data.split_at_mut(i * n);
+                    let u = &rest[..=l];
                     let mut fsum = 0.0;
                     for j in 0..=l {
+                        let row = &mut block[j * n..(j + 1) * n];
                         if accumulate {
-                            a[(j, i)] = a[(i, j)] / h;
+                            row[i] = u[j] / h;
                         }
                         let mut g2 = 0.0;
-                        for k in 0..=j {
-                            g2 += a[(j, k)] * a[(i, k)];
-                        }
-                        for k in (j + 1)..=l {
-                            g2 += a[(k, j)] * a[(i, k)];
+                        for (ajk, uk) in row[..=l].iter().zip(u) {
+                            g2 += ajk * uk;
                         }
                         e[j] = g2 / h;
-                        fsum += e[j] * a[(i, j)];
+                        fsum += e[j] * u[j];
                     }
                     let hh = fsum / (h + h);
                     for j in 0..=l {
-                        let f2 = a[(i, j)];
-                        let g2 = e[j] - hh * f2;
-                        e[j] = g2;
-                        for k in 0..=j {
-                            a[(j, k)] -= f2 * e[k] + g2 * a[(i, k)];
+                        e[j] -= hh * u[j];
+                    }
+                    for j in 0..=l {
+                        let (uj, ej) = (u[j], e[j]);
+                        let row = &mut block[j * n..j * n + l + 1];
+                        for ((ajk, ek), uk) in row.iter_mut().zip(&e[..=l]).zip(u) {
+                            *ajk -= uj * ek + ej * uk;
                         }
                     }
                 }
@@ -1362,6 +1391,204 @@ mod tests {
                     av[i],
                     vals[c] * v[i]
                 );
+            }
+        }
+    }
+
+    /// The lower-triangular `tred2` the row-contiguous
+    /// [`Matrix::tridiagonalize`] replaced, kept verbatim as its bitwise
+    /// oracle: its second `g` sum walks column `j` with stride `n`.
+    #[allow(clippy::needless_range_loop)]
+    fn tridiagonalize_lower_reference(m: &Matrix, accumulate: bool) -> Tridiag {
+        let n = m.rows;
+        let mut a = m.clone();
+        let mut d = vec![0.0; n];
+        let mut e = vec![0.0; n];
+        let mut hs = vec![0.0; n];
+        if n == 0 {
+            return Tridiag { d, e, basis: a, hs };
+        }
+        for i in (1..n).rev() {
+            let l = i - 1;
+            let mut h = 0.0;
+            if l > 0 {
+                let mut scale = 0.0;
+                for k in 0..=l {
+                    scale += a[(i, k)].abs();
+                }
+                if scale == 0.0 {
+                    e[i] = a[(i, l)];
+                } else {
+                    for k in 0..=l {
+                        let v = a[(i, k)] / scale;
+                        a[(i, k)] = v;
+                        h += v * v;
+                    }
+                    let f = a[(i, l)];
+                    let g = if f >= 0.0 { -h.sqrt() } else { h.sqrt() };
+                    e[i] = scale * g;
+                    h -= f * g;
+                    a[(i, l)] = f - g;
+                    let mut fsum = 0.0;
+                    for j in 0..=l {
+                        if accumulate {
+                            a[(j, i)] = a[(i, j)] / h;
+                        }
+                        let mut g2 = 0.0;
+                        for k in 0..=j {
+                            g2 += a[(j, k)] * a[(i, k)];
+                        }
+                        for k in (j + 1)..=l {
+                            g2 += a[(k, j)] * a[(i, k)];
+                        }
+                        e[j] = g2 / h;
+                        fsum += e[j] * a[(i, j)];
+                    }
+                    let hh = fsum / (h + h);
+                    for j in 0..=l {
+                        let f2 = a[(i, j)];
+                        let g2 = e[j] - hh * f2;
+                        e[j] = g2;
+                        for k in 0..=j {
+                            a[(j, k)] -= f2 * e[k] + g2 * a[(i, k)];
+                        }
+                    }
+                }
+            } else {
+                e[i] = a[(i, l)];
+            }
+            d[i] = h;
+            hs[i] = h;
+        }
+        e[0] = 0.0;
+        hs[0] = 0.0;
+        if accumulate {
+            d[0] = 0.0;
+            for i in 0..n {
+                if d[i] != 0.0 {
+                    for j in 0..i {
+                        let mut g = 0.0;
+                        for k in 0..i {
+                            g += a[(i, k)] * a[(k, j)];
+                        }
+                        for k in 0..i {
+                            a[(k, j)] -= g * a[(k, i)];
+                        }
+                    }
+                }
+                d[i] = a[(i, i)];
+                a[(i, i)] = 1.0;
+                for j in 0..i {
+                    a[(j, i)] = 0.0;
+                    a[(i, j)] = 0.0;
+                }
+            }
+            Tridiag {
+                d,
+                e,
+                basis: a.transpose(),
+                hs,
+            }
+        } else {
+            for i in 0..n {
+                d[i] = a[(i, i)];
+            }
+            Tridiag { d, e, basis: a, hs }
+        }
+    }
+
+    /// SPD test matrix built from integer arithmetic only (no kernel,
+    /// no libm): `B Bᵀ + n I` with `B` drawn from a multiplicative hash.
+    fn hashed_spd(n: usize) -> Matrix {
+        let b = Matrix::from_fn(n, n, |i, j| {
+            let h = ((i * n + j) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+            h as f64 / (1u64 << 24) as f64 - 0.5
+        });
+        Matrix::from_fn(n, n, |i, j| {
+            let mut s = if i == j { n as f64 } else { 0.0 };
+            for k in 0..n {
+                s += b[(i, k)] * b[(j, k)];
+            }
+            s
+        })
+    }
+
+    fn eigen_digest(vals: &[f64], vecs: &Matrix) -> u64 {
+        let mut bits = vals.to_vec();
+        bits.extend_from_slice(vecs.as_slice());
+        crate::stochastic::fnv1a_f64(&bits)
+    }
+
+    fn same_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    #[test]
+    fn tridiagonalize_matches_lower_triangular_reference_bitwise() {
+        for n in [1usize, 2, 3, 17, 64] {
+            let spd = hashed_spd(n);
+            // Only the lower triangle is read: garbage above the diagonal
+            // must change nothing.
+            let mut lower_only = spd.clone();
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    lower_only[(i, j)] = -7.5 * (i + j) as f64;
+                }
+            }
+            for m in [&spd, &lower_only] {
+                for accumulate in [false, true] {
+                    let got = m.tridiagonalize(accumulate);
+                    let want = tridiagonalize_lower_reference(m, accumulate);
+                    assert!(same_bits(&got.d, &want.d), "n={n} acc={accumulate} d");
+                    assert!(same_bits(&got.e, &want.e), "n={n} acc={accumulate} e");
+                    assert!(same_bits(&got.hs, &want.hs), "n={n} acc={accumulate} hs");
+                    for i in 0..n {
+                        let span = if accumulate { n } else { i };
+                        assert!(
+                            same_bits(&got.basis.row(i)[..span], &want.basis.row(i)[..span]),
+                            "n={n} acc={accumulate} basis row {i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Digests captured on the lower-triangular reduction and the
+    /// vector-at-a-time back-transform: the row-contiguous rewrite of
+    /// both must keep every bit of every eigenpair.
+    #[test]
+    fn eigen_digests_are_pinned() {
+        for (n, full, topk) in [
+            (
+                50usize,
+                0x2727_bd4b_7fc6_1e8d_u64,
+                [
+                    0x2eff_8d87_7ccb_fe4b_u64,
+                    0x8a14_0dac_26b4_b0cf,
+                    0x9a2e_7c00_9023_a800,
+                ],
+            ),
+            (
+                240,
+                0xabdf_976a_f3a7_628f,
+                [
+                    0x1f15_3579_3cb2_84fc,
+                    0x7126_6498_0f85_f455,
+                    0xc62a_b469_6a15_908a,
+                ],
+            ),
+        ] {
+            let m = hashed_spd(n);
+            let (vals, vecs) = m.symmetric_eigen(50).unwrap();
+            let got = eigen_digest(&vals, &vecs);
+            assert_eq!(got, full, "n={n} full: {got:#018x}");
+            let (vals0, vecs0) = m.symmetric_eigen_topk(0, 50).unwrap();
+            assert_eq!((vals0.len(), vecs0.rows(), vecs0.cols()), (n, n, 0));
+            for (k, pinned) in [1, n / 2, n - 1].into_iter().zip(topk) {
+                let (vals, vecs) = m.symmetric_eigen_topk(k, 50).unwrap();
+                let got = eigen_digest(&vals, &vecs);
+                assert_eq!(got, pinned, "n={n} k={k}: {got:#018x}");
             }
         }
     }

@@ -155,20 +155,19 @@ pub fn assemble_covariance(distances: &Matrix, kernel: &VonKarman) -> Matrix {
             for (r, row) in rows_chunk.chunks_mut(n).enumerate() {
                 let i = first_row + r;
                 row[i] = 1.0;
-                // Full quads of the row tail go through the 4-lane
-                // kernel batch; the j-remainder falls back to the
-                // scalar path, which computes identical bits per lane
-                // (see vonkarman::bessel_k_frac_lanes).
+                // The row tail goes through the 4-lane kernel batch in
+                // quads; a short last quad is padded with zero distances
+                // whose lanes are discarded. Lanes never mix, so each
+                // value is bitwise the scalar `correlation` (see
+                // vonkarman::bessel_k_frac_lanes), which costs several
+                // times more per distance than a lane of the batch.
                 let drow = distances.row(i);
-                let quad_end = i + 1 + (n - i - 1) / 4 * 4;
-                let mut j = i + 1;
-                while j < quad_end {
-                    let c = kernel.correlation_x4([drow[j], drow[j + 1], drow[j + 2], drow[j + 3]]);
-                    row[j..j + 4].copy_from_slice(&c);
-                    j += 4;
-                }
-                for jj in quad_end..n {
-                    row[jj] = kernel.correlation(drow[jj]);
+                for j in (i + 1..n).step_by(4) {
+                    let m = (n - j).min(4);
+                    let mut quad = [0.0; 4];
+                    quad[..m].copy_from_slice(&drow[j..j + m]);
+                    let c = kernel.correlation_x4(quad);
+                    row[j..j + m].copy_from_slice(&c[..m]);
                 }
             }
         });

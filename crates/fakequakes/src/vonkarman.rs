@@ -1,12 +1,13 @@
 //! Von Kármán spatial correlation for stochastic slip.
 //!
 //! FakeQuakes draws slip distributions from a Gaussian random field with a
-//! von Kármán autocorrelation (Mai & Beroza 2002). The exact kernel uses
-//! the modified Bessel function K_H; we implement K_H for the Hurst
-//! exponents of interest via the standard small/large-argument expansions
-//! of K_0 and K_1 plus linear blending in H, which is accurate to better
-//! than 1 % over the argument range a correlation kernel ever sees — more
-//! than adequate since the Hurst exponent itself is only known to ~0.1.
+//! von Kármán autocorrelation (Mai & Beroza 2002). The kernel needs the
+//! modified Bessel function `K_H` at the fractional Hurst exponent `H`;
+//! [`bessel_k_fractional`] evaluates it from the integral representation
+//! `K_ν(x) = ∫_0^∞ e^{-x cosh t} cosh(νt) dt` with a fixed 60-panel
+//! trapezoid rule, four abscissae at a time, to 1e-12 relative. The
+//! Abramowitz & Stegun polynomials for `K_0`, `K_1`, `I_0` and `I_1`
+//! (~1e-7) are independent spot checks, not part of the kernel.
 
 use crate::simd;
 
@@ -260,8 +261,9 @@ pub fn bessel_i1(x: f64) -> f64 {
 
 /// Fractional-order `K_ν(x)` for `ν ∈ [0,1]`, via the integral
 /// representation `K_ν(x) = ∫_0^∞ e^{-x cosh t} cosh(νt) dt` evaluated
-/// with composite Simpson quadrature. Accurate to ~1e-8 relative over the
-/// argument range a correlation kernel sees.
+/// with the trapezoid rule on [`KNU_PANELS`] panels. Within 1e-12
+/// relative of the exact value for `ν ∈ [0.01, 1]`, `x ∈ [1e-6, 60]`
+/// (pinned by `bessel_k_fractional_is_accurate_to_1e12`).
 ///
 /// The one-lane instantiation of [`bessel_k_frac_lanes`] — the scalar
 /// path and the 4-lane batch compute identical bits per abscissa.
@@ -274,27 +276,31 @@ pub fn bessel_k_fractional_x4(nu: f64, xs: [f64; 4]) -> [f64; 4] {
     bessel_k_frac_lanes(nu, xs)
 }
 
-/// Simpson panel count of the `K_ν` quadrature (even, fixed).
-const KNU_PANELS: usize = 400;
+/// Trapezoid panel count of the `K_ν` quadrature (fixed, so every lane
+/// runs the same instruction stream). The integrand is analytic and
+/// even in `t`, so the trapezoid error falls exponentially with the
+/// panel count; 60 is the fewest that holds 1e-12 over the whole
+/// `(ν, x)` range, the worst case being `ν = 1` at `x = 1e-6`, where
+/// `t_max ≈ 18` makes the panels widest.
+const KNU_PANELS: usize = 60;
 
-/// Generic-lane Simpson quadrature for `K_ν`.
+/// Generic-lane trapezoid quadrature for `K_ν`.
 ///
 /// Three things make this the hot-path form (DESIGN.md §13):
 ///
 /// 1. **No libm in the inner loop.** `cosh(i·h)` and `cosh(ν·i·h)` are
 ///    advanced by the stable three-term recurrence
 ///    `c_{i+1} = 2 cosh(h) · c_i − c_{i−1}`, so the only transcendental
-///    per node is one [`simd::fq_exp`] — down from an exp and two coshes.
+///    per node is one [`simd::fq_exp`].
 /// 2. **Lane-parallel evaluation.** All per-node work is an `l`-indexed
 ///    elementwise loop with no cross-lane data flow, which LLVM
 ///    autovectorizes at `L = 4` — and which guarantees the `L = 1`
 ///    instantiation computes bit-for-bit the lane-`l` value of the
 ///    `L = 4` one.
-/// 3. **Fixed accumulation order.** Per lane: `f(0)`, then the interior
-///    nodes ascending with their Simpson weights, then the `t_max`
-///    endpoint taken from the recurrence (not a fresh `cosh(t_max)`),
-///    then the `h/3` scale. This order is canonical and
-///    platform-independent.
+/// 3. **Fixed accumulation order.** Per lane: `½ f(0)`, then the
+///    interior nodes ascending, then `½ f(t_max)` with `cosh(t_max)`
+///    taken from the recurrence (not a fresh `cosh`), then the `h`
+///    scale. This order is canonical and platform-independent.
 ///
 /// Non-positive abscissae are substituted with `x = 1` and patched to
 /// `K_ν(x ≤ 0) = ∞` afterwards.
@@ -327,12 +333,11 @@ fn bessel_k_frac_lanes<const L: usize>(nu: f64, xs: [f64; L]) -> [f64; L] {
         two_cnh[l] = 2.0 * cnh;
         c_cur[l] = ch;
         d_cur[l] = cnh;
-        sum[l] = simd::fq_exp(-x[l]); // f(0) = e^{-x cosh 0} cosh 0
+        sum[l] = 0.5 * simd::fq_exp(-x[l]); // ½ f(0) = ½ e^{-x cosh 0} cosh 0
     }
-    for i in 1..KNU_PANELS {
-        let w = if i % 2 == 1 { 4.0 } else { 2.0 };
+    for _ in 1..KNU_PANELS {
         for l in 0..L {
-            sum[l] += w * (simd::fq_exp(-(x[l] * c_cur[l])) * d_cur[l]);
+            sum[l] += simd::fq_exp(-(x[l] * c_cur[l])) * d_cur[l];
             let c_next = two_ch[l] * c_cur[l] - c_prev[l];
             c_prev[l] = c_cur[l];
             c_cur[l] = c_next;
@@ -343,26 +348,26 @@ fn bessel_k_frac_lanes<const L: usize>(nu: f64, xs: [f64; L]) -> [f64; L] {
     }
     let mut out = [0.0; L];
     for l in 0..L {
-        let s = sum[l] + simd::fq_exp(-(x[l] * c_cur[l])) * d_cur[l];
+        let s = sum[l] + 0.5 * (simd::fq_exp(-(x[l] * c_cur[l])) * d_cur[l]);
         out[l] = if xs[l] <= 0.0 {
             f64::INFINITY
         } else {
-            s * h[l] / 3.0
+            s * h[l]
         };
     }
     out
 }
 
-/// The original libm Simpson quadrature for `K_ν`, frozen pre-SIMD: the
-/// bench baseline and the accuracy cross-check for
-/// [`bessel_k_fractional`]. Not used by any hot path.
+/// The original libm quadrature for `K_ν` (400-panel composite Simpson),
+/// frozen pre-SIMD: the `bench_snapshot` covariance baseline and the
+/// accuracy oracle for [`bessel_k_fractional`]. Not used by any hot path.
 pub fn bessel_k_fractional_libm(nu: f64, x: f64) -> f64 {
     let nu = nu.clamp(0.0, 1.0);
     if x <= 0.0 {
         return f64::INFINITY;
     }
     let t_max = ((1.0 + 45.0 / x) + ((1.0 + 45.0 / x).powi(2) - 1.0).sqrt()).ln();
-    let n = KNU_PANELS;
+    let n = 400;
     let h = t_max / n as f64;
     let f = |t: f64| (-(x * t.cosh())).exp() * (nu * t).cosh();
     let mut sum = f(0.0) + f(t_max);
@@ -491,9 +496,8 @@ mod tests {
 
     #[test]
     fn bessel_k_fractional_tabulated_values() {
-        // K_{1/2}(x) = sqrt(pi/(2x)) e^{-x} exactly: pins the laned
-        // quadrature (recurrence + fq_exp) to ~1e-7 against a closed
-        // form, well past the quadrature's own design accuracy.
+        // K_{1/2}(x) = sqrt(pi/(2x)) e^{-x} exactly (the tight bound is
+        // in bessel_k_fractional_is_accurate_to_1e12).
         for x in [0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0] {
             let exact = (std::f64::consts::PI / (2.0 * x)).sqrt() * (-x).exp();
             assert!(
@@ -546,23 +550,43 @@ mod tests {
         assert_eq!(bessel_k_fractional_x4(0.5, [0.0; 4]), [f64::INFINITY; 4]);
     }
 
+    /// `n + 1` log-spaced abscissae from `lo` to `hi`.
+    fn log_grid(lo: f64, hi: f64, n: usize) -> impl Iterator<Item = f64> {
+        (0..=n).map(move |i| lo * (hi / lo).powf(i as f64 / n as f64))
+    }
+
     #[test]
-    fn fq_quadrature_cross_checks_libm_quadrature() {
-        // Same Simpson rule, different exp/cosh evaluation: the two must
-        // agree to the transcendental error budget (~1e-12), far inside
-        // the quadrature's 1e-8 design accuracy.
-        for nu in [0.0, 0.4, 0.75, 1.0] {
-            for x in [0.05, 0.3, 1.0, 4.0, 20.0, 55.0] {
-                let fq = bessel_k_fractional(nu, x);
-                let libm = bessel_k_fractional_libm(nu, x);
-                assert!(approx(fq, libm, 1e-10), "nu={nu} x={x}: {fq} vs {libm}");
+    fn bessel_k_fractional_is_accurate_to_1e12() {
+        let rel = |got: f64, want: f64| ((got - want) / want).abs();
+        // Against the frozen 400-panel libm Simpson oracle, where that
+        // oracle is itself accurate (x >= 1e-2).
+        for x in log_grid(1e-2, 60.0, 200) {
+            for j in 0..=24 {
+                let nu = 0.01 + 0.99 * j as f64 / 24.0;
+                let want = bessel_k_fractional_libm(nu, x);
+                let err = rel(bessel_k_fractional(nu, x), want);
+                assert!(err <= 1e-12, "nu={nu} x={x}: rel err {err:.2e} vs libm");
             }
+        }
+        // K_{1/2}(x) = sqrt(pi/(2x)) e^{-x}, down to x = 1e-6.
+        for x in log_grid(1e-6, 60.0, 400) {
+            let want = (std::f64::consts::PI / (2.0 * x)).sqrt() * (-x).exp();
+            let err = rel(bessel_k_fractional(0.5, x), want);
+            assert!(err <= 1e-12, "x={x}: rel err {err:.2e} vs K_1/2");
+        }
+        // The widest-panel corner, nu = 1 at tiny x, against the series
+        // K_1(x) = 1/x + (x/2)(ln(x/2) + γ) - x/4 + O(x³ ln x).
+        const EULER_GAMMA: f64 = 0.577_215_664_901_532_9;
+        for x in log_grid(1e-6, 1e-4, 40) {
+            let want = 1.0 / x + 0.5 * x * ((0.5 * x).ln() + EULER_GAMMA) - 0.25 * x;
+            let err = rel(bessel_k_fractional(1.0, x), want);
+            assert!(err <= 1e-12, "x={x}: rel err {err:.2e} vs K_1 series");
         }
         for x in [0.2, 1.0, 5.0, 30.0] {
             assert!(approx(
                 von_karman_kernel(x, 0.75),
                 von_karman_kernel_libm(x, 0.75),
-                1e-10
+                1e-12
             ));
         }
     }

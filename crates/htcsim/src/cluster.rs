@@ -1139,9 +1139,10 @@ impl Cluster {
         }
     }
 
-    /// Evict every non-terminal job assigned to a departed machine.
+    /// Evict every non-terminal job assigned to a departed machine, in
+    /// `JobId` order (the `jobs` map iterates in per-process hash order).
     fn evict_machine_jobs(&mut self, mid: MachineId) {
-        let victims: Vec<(JobId, OwnerId)> = self
+        let mut victims: Vec<(JobId, OwnerId)> = self
             .jobs
             .iter()
             .filter(|(_, j)| {
@@ -1155,6 +1156,7 @@ impl Cluster {
             })
             .map(|(id, j)| (*id, j.owner))
             .collect();
+        victims.sort_unstable_by_key(|&(id, _)| id);
         let limit = self.config.max_evictions_per_job;
         for (id, owner) in victims {
             if self.origin_users.remove(&id) {
@@ -1554,6 +1556,36 @@ mod tests {
             .filter(|e| e.kind == JobEventKind::Evicted)
             .count() as u64;
         assert_eq!(evs, report.evictions);
+    }
+
+    #[test]
+    fn same_seed_churning_run_renders_identical_ulog() {
+        // Departing 4-slot glideins evict several jobs at once; the
+        // eviction lines must come out in the same order on every run.
+        let run = || {
+            let cfg = ClusterConfig {
+                pool: PoolConfig {
+                    target_slots: 32,
+                    glidein_slots: 4,
+                    glidein_lifetime_s: 600.0,
+                    avail_mean: 1.0,
+                    avail_sigma: 0.0,
+                    ..Default::default()
+                },
+                ..ClusterConfig::with_cache()
+            };
+            let specs: Vec<JobSpec> = (0..60)
+                .map(|i| JobSpec::fixed(format!("t.{i}"), 500.0))
+                .collect();
+            let mut d = BagDriver::new(specs);
+            let report = Cluster::new(cfg, 3).run(&mut d);
+            assert!(report.evictions > 1);
+            crate::condor_log::to_condor_log(&report.log)
+        };
+        let first = run();
+        for _ in 0..4 {
+            assert!(run() == first, "same seed rendered a different ULOG");
+        }
     }
 
     #[test]

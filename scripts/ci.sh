@@ -107,6 +107,22 @@ echo "==> failover ablation smoke (failover-on must not lose time-to-done or bad
 FDW_SMOKE=1 FDW_BENCH_OUT=target/BENCH_failover.smoke.json \
   cargo run -q -p fdw-bench --release --bin failover_ablation >/dev/null
 
+echo "==> science digest gate (full-scale baseline_digest vs committed BENCH_*.json)"
+# baseline_digest folds the live science products of the fault-free run;
+# a change to science bits must land with the regenerated BENCH file.
+# Both bins take well under a second at full scale.
+for spec in defense_ablation:BENCH_defenses.json failover_ablation:BENCH_failover.json; do
+  bin=${spec%%:*} json=${spec##*:}
+  FDW_BENCH_OUT="target/$json" cargo run -q -p fdw-bench --release --bin "$bin" >/dev/null
+  committed=$(grep -o '"baseline_digest": "[^"]*"' "$json" || true)
+  fresh=$(grep -o '"baseline_digest": "[^"]*"' "target/$json" || true)
+  if [ -z "$committed" ] || [ "$committed" != "$fresh" ]; then
+    echo "science digest gate: $json has $committed, a fresh run gives $fresh"
+    exit 1
+  fi
+  echo "  $json ${fresh#*: }"
+done
+
 echo "==> service overload smoke (defended goodput >= undefended, science store-invariant)"
 # The binary exits 1 itself on any goodput loss, digest drift, dropped
 # request or determinism break; re-check the two headline gates from the
