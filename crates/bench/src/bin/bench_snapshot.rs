@@ -43,6 +43,7 @@ use fakequakes::stochastic::{
     assemble_covariance, assemble_covariance_reference_libm, assemble_covariance_seq, FactorCache,
 };
 use fakequakes::vonkarman::VonKarman;
+use fdw_bench::git_rev;
 
 /// One timed baseline-vs-optimised pair.
 struct KernelRow {
@@ -103,16 +104,6 @@ fn median_ns(min_iters: usize, floor: Duration, mut f: impl FnMut()) -> (u64, us
     }
     samples.sort_unstable();
     (samples[samples.len() / 2], samples.len())
-}
-
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
 }
 
 /// FNV-1a fold of one word (same constants as the DES engine digests).

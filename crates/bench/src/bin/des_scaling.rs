@@ -21,18 +21,8 @@
 #![forbid(unsafe_code)]
 use std::time::Instant;
 
-use fdw_bench::smoke;
+use fdw_bench::{git_rev, smoke};
 use htcsim::des::{synth_engine, EngineReport, SynthConfig};
-
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
-}
 
 /// One measured configuration.
 struct Arm {

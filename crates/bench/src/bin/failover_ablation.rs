@@ -17,20 +17,10 @@
 
 #![forbid(unsafe_code)]
 use fakequakes::stations::ChileanInput;
-use fdw_bench::{smoke, smoke_scaled};
+use fdw_bench::{git_rev, smoke, smoke_scaled};
 use fdw_core::prelude::*;
 use htcsim::fault::PoolFaultConfig;
 use htcsim::federation::FederationConfig;
-
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
-}
 
 /// One ablation arm, summarised.
 struct Arm {

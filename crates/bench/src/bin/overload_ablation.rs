@@ -23,21 +23,11 @@
 
 #![forbid(unsafe_code)]
 use fakequakes::stochastic::FactorCache;
-use fdw_bench::{smoke, smoke_scaled};
+use fdw_bench::{git_rev, smoke, smoke_scaled};
 use fdw_core::service::science_digest;
 use fdw_service::config::ServiceConfig;
 use fdw_service::engine::run_service;
 use fdw_service::request::WorkloadConfig;
-
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
-}
 
 /// One (overload level, policy) arm, summarised.
 struct Arm {

@@ -18,8 +18,7 @@
 //!
 //! Criterion micro-benchmarks (`cargo bench -p fdw-bench`) cover the
 //! compute kernels: rupture generation (Cholesky vs Karhunen–Loève),
-//! waveform synthesis (Rayon vs sequential), the DES event loop, and the
-//! bursting replay loop.
+//! waveform synthesis, the DES event loop, and the bursting replay loop.
 //!
 //! This library holds the shared formatting/summary helpers the binaries
 //! use.
@@ -48,6 +47,18 @@ pub fn smoke_scaled(full: u64, reduced: u64) -> u64 {
     } else {
         full
     }
+}
+
+/// Short hash of the checked-out commit, or `"unknown"` outside a git
+/// tree — the `git_rev` field of every committed `BENCH_*.json`.
+pub fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into())
 }
 
 /// Telemetry output directory (`FDW_OBS_DIR`), if requested.

@@ -119,10 +119,6 @@ pub struct FdwConfig {
     /// Multi-tenant campaign front-end: admission control, fair share,
     /// load shedding, shared artifact store (off by default).
     pub service: ServiceConfig,
-    /// Physical event-queue shards for the cluster DES (0 = simulator
-    /// default). Output is byte-identical for every value — the event
-    /// order is pinned by the `(time, lane, seq)` key, never by layout.
-    pub des_shards: usize,
 }
 
 impl Default for FdwConfig {
@@ -149,7 +145,6 @@ impl Default for FdwConfig {
             speculation: SpeculationConfig::default(),
             federation: FederationConfig::default(),
             service: ServiceConfig::default(),
-            des_shards: 0,
         }
     }
 }
@@ -171,9 +166,6 @@ impl FdwConfig {
         }
         if self.mw_range.0 > self.mw_range.1 {
             return Err("mw_range must be ordered".into());
-        }
-        if self.des_shards > 4096 {
-            return Err("des_shards must be at most 4096".into());
         }
         self.fault.validate()?;
         self.defense.validate()?;
@@ -268,8 +260,7 @@ impl FdwConfig {
              tenant_count = {}\n\
              tenant_quota = {}\n\
              tenant_queue_depth = {}\n\
-             tenant_deadline_shed = {}\n\
-             des_shards = {}\n",
+             tenant_deadline_shed = {}\n",
             self.region.label(),
             self.fault_nx,
             self.fault_nd,
@@ -336,7 +327,6 @@ impl FdwConfig {
             self.service.tenant_quota,
             self.service.tenant_queue_depth,
             self.service.tenant_deadline_shed,
-            self.des_shards,
         )
     }
 
@@ -576,7 +566,6 @@ impl FdwConfig {
                     cfg.service.tenant_deadline_shed =
                         value.parse().map_err(|_| bad("tenant_deadline_shed"))?
                 }
-                "des_shards" => cfg.des_shards = value.parse().map_err(|_| bad("des_shards"))?,
                 other => return Err(format!("line {}: unknown key '{other}'", lineno + 1)),
             }
         }
@@ -651,6 +640,11 @@ mod tests {
         // Misspelled fault knobs must error, not inject nothing silently.
         assert!(FdwConfig::parse("fault_transients = 0.1\n").is_err());
         assert!(FdwConfig::parse("fault_transient = lots\n").is_err());
+        // A removed knob is an unknown key like any typo.
+        assert_eq!(
+            FdwConfig::parse("des_shards = 4\n"),
+            Err("line 1: unknown key 'des_shards'".to_string())
+        );
     }
 
     #[test]

@@ -43,7 +43,6 @@ pub fn osg_cluster_config() -> ClusterConfig {
         faults: Default::default(),
         defense: Default::default(),
         federation: Default::default(),
-        shards: 0,
     }
 }
 
@@ -130,12 +129,6 @@ pub fn run_concurrent_fdw_with_obs(
     // And the federated multi-pool layer.
     if base_cfg.federation.enabled {
         cluster_cfg.federation = base_cfg.federation;
-    }
-    // Event-queue sharding (0 = leave the cluster default). Pure layout:
-    // the pop order is pinned by the (time, lane, seq) key, so this knob
-    // never changes a byte of output — des_differential.rs enforces it.
-    if base_cfg.des_shards > 0 {
-        cluster_cfg.shards = base_cfg.des_shards;
     }
     let mut dags = Vec::with_capacity(n_dagmans);
     for share in split_waveforms(total_waveforms, n_dagmans) {

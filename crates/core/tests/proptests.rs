@@ -79,7 +79,6 @@ fn arb_config() -> impl Strategy<Value = FdwConfig> {
                     speculation: Default::default(),
                     federation: Default::default(),
                     service: Default::default(),
-                    des_shards: 0,
                 }
             },
         )

@@ -47,7 +47,6 @@ fn fast_cluster(seed: u64) -> Cluster {
             faults: Default::default(),
             defense: Default::default(),
             federation: Default::default(),
-            shards: 1,
         },
         seed,
     )

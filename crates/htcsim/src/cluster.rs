@@ -69,11 +69,6 @@ pub struct ClusterConfig {
     pub defense: DefenseConfig,
     /// Federated multi-pool layer (disabled by default: one flat pool).
     pub federation: FederationConfig,
-    /// Physical event-queue shards. Lanes (control + one per pool) map
-    /// onto shards by `lane % shards`; 0 is treated as 1. The pop order
-    /// is pinned by [`crate::event::EventKey`], so every shard count
-    /// yields byte-identical runs — this knob only changes heap layout.
-    pub shards: usize,
 }
 
 impl ClusterConfig {
@@ -241,12 +236,11 @@ impl Cluster {
             .federation
             .enabled
             .then(|| Federation::new(config.federation));
-        let queue = EventQueue::with_shards(config.shards);
         Self {
             config,
             rng: StdRng::seed_from_u64(seed ^ 0x4854_434f_4e44_4f52),
             pool,
-            queue,
+            queue: EventQueue::new(),
             log: UserLog::new(),
             cache,
             jobs: HashMap::new(),
@@ -573,12 +567,11 @@ impl Cluster {
     /// lane `pool + 1` under federation, lane 1 when unmatched or not
     /// federated. Control events (negotiation, glidein churn, pool fault
     /// windows) stay on [`LaneId::CONTROL`]. A pure function of sim
-    /// state — never of the shard count — so the event merge order (and
-    /// with it every golden fixture) is shard-invariant. Cross-lane
+    /// state, so the `(time, lane, seq)` pop order (and with it every
+    /// golden fixture) depends only on the scenario. Cross-lane
     /// interactions (migration re-matches, federation displacement)
-    /// always pass through the sequential k-way merge point, which acts
-    /// as the epoch barrier: a lane never observes another lane's state
-    /// except through an event popped under the total order.
+    /// happen only through events popped from the one queue under that
+    /// total order: a lane never observes another lane's state otherwise.
     fn lane_of(federation: &Option<Federation>, machine: Option<MachineId>) -> LaneId {
         let pool = federation
             .as_ref()

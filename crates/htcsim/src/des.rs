@@ -1,10 +1,11 @@
 //! Sharded parallel discrete-event engine with an epoch barrier.
 //!
-//! [`EventQueue`](crate::event::EventQueue) makes the *ordering* of a
-//! sharded run deterministic; this module adds the *execution* side: an
-//! engine that drains many event lanes concurrently over the vendored
-//! rayon fork-join pool and still produces bitwise-identical results at
-//! every thread count — including a purely monolithic single-heap run.
+//! [`EventQueue`](crate::event::EventQueue) pins the *ordering* of
+//! events with its `(time, lane, seq)` key; this module adds the
+//! *execution* side: an engine that drains many event lanes
+//! concurrently over the vendored rayon fork-join pool and still
+//! produces bitwise-identical results at every thread count —
+//! including a purely monolithic single-heap run.
 //!
 //! ## Model
 //!

@@ -1,17 +1,15 @@
-//! The discrete-event queue: sharded, lane-aware, and deterministic.
+//! The discrete-event queue: one heap, lane-aware, and deterministic.
 //!
 //! Events live on **logical lanes** (one per federated pool plus a
-//! control lane, see [`LaneId`]); lanes are stored across one or more
-//! **physical shards** (per-lane binary heaps grouped by `lane % shards`)
-//! and popped through a k-way merge on the explicit total order
+//! control lane, see [`LaneId`]) and are stored in a single binary heap
+//! ordered by the explicit total order
 //!
 //! ```text
 //!   (timestamp, lane_id, per-lane sequence number)
 //! ```
 //!
 //! That key — [`EventKey`] — is the determinism contract of the whole
-//! simulator: same pushes, same pops, *regardless of the shard count*,
-//! because the key never mentions shards. Same-timestamp ties break by
+//! simulator: same pushes, same pops. Same-timestamp ties break by
 //! lane, then by per-lane insertion order; nothing is left to heap
 //! internals or hasher state. The golden ULOG fixtures are pinned by
 //! this contract, not by accident of `BinaryHeap` sift order.
@@ -27,7 +25,7 @@ use crate::time::SimTime;
 /// glidein churn, pool-level fault windows); federated runs place each
 /// pool's job-lifecycle events on lane `pool + 1`, single-pool runs use
 /// lane 1 for every job event. Lanes are a property of the *scenario*,
-/// never of the shard count, so the merge order is shard-invariant.
+/// so the pop order depends only on what was pushed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LaneId(pub u32);
 
@@ -126,49 +124,21 @@ impl PartialOrd for Entry {
     }
 }
 
-/// Deterministic sharded event queue.
+/// Deterministic event queue.
 ///
-/// One binary heap per shard; lanes map onto shards by `lane % shards`.
-/// Pops perform a k-way merge across shard heads under the full
-/// [`EventKey`] order, so the pop sequence is a pure function of the
-/// push sequence — independent of how many shards store it.
-#[derive(Debug)]
+/// One binary heap under the full [`EventKey`] order, so the pop
+/// sequence is a pure function of the push sequence.
+#[derive(Debug, Default)]
 pub struct EventQueue {
-    shards: Vec<BinaryHeap<Reverse<Entry>>>,
+    heap: BinaryHeap<Reverse<Entry>>,
     /// Per-lane sequence counters, indexed by lane id (grown on demand).
     lane_seq: Vec<u64>,
-    len: usize,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        Self::with_shards(1)
-    }
 }
 
 impl EventQueue {
-    /// Create an empty single-shard queue.
+    /// Create an empty queue.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Create an empty queue spread over `shards` physical heaps
-    /// (clamped to at least one).
-    pub fn with_shards(shards: usize) -> Self {
-        EventQueue {
-            shards: (0..shards.max(1)).map(|_| BinaryHeap::new()).collect(),
-            lane_seq: Vec::new(),
-            len: 0,
-        }
-    }
-
-    /// Number of physical shards backing the queue.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_of(&self, lane: LaneId) -> usize {
-        lane.0 as usize % self.shards.len()
     }
 
     /// Schedule `event` at absolute time `time` on the control lane.
@@ -186,31 +156,13 @@ impl EventQueue {
         let seq = self.lane_seq[idx];
         self.lane_seq[idx] += 1;
         let key = EventKey { time, lane, seq };
-        let shard = self.shard_of(lane);
-        self.shards[shard].push(Reverse(Entry { key, event }));
-        self.len += 1;
+        self.heap.push(Reverse(Entry { key, event }));
         key
-    }
-
-    /// Index of the shard holding the globally smallest key, if any.
-    fn min_shard(&self) -> Option<usize> {
-        let mut best: Option<(usize, EventKey)> = None;
-        for (i, heap) in self.shards.iter().enumerate() {
-            if let Some(Reverse(e)) = heap.peek() {
-                if best.map(|(_, k)| e.key < k).unwrap_or(true) {
-                    best = Some((i, e.key));
-                }
-            }
-        }
-        best.map(|(i, _)| i)
     }
 
     /// Pop the earliest event together with its key.
     pub fn pop_keyed(&mut self) -> Option<(EventKey, Event)> {
-        let shard = self.min_shard()?;
-        let Reverse(e) = self.shards[shard].pop().expect("peeked shard is non-empty");
-        self.len -= 1;
-        Some((e.key, e.event))
+        self.heap.pop().map(|Reverse(e)| (e.key, e.event))
     }
 
     /// Pop the earliest event, if any.
@@ -220,8 +172,7 @@ impl EventQueue {
 
     /// Key of the earliest pending event.
     pub fn peek_key(&self) -> Option<EventKey> {
-        self.min_shard()
-            .and_then(|s| self.shards[s].peek().map(|Reverse(e)| e.key))
+        self.heap.peek().map(|Reverse(e)| e.key)
     }
 
     /// Time of the earliest pending event.
@@ -231,12 +182,12 @@ impl EventQueue {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 }
 
@@ -309,40 +260,13 @@ mod tests {
     }
 
     #[test]
-    fn pop_order_is_invariant_to_shard_count() {
-        // The same push sequence, spread over 1/2/4/16 shards, must pop
-        // identically: the key never mentions shards.
-        let pushes: Vec<(u64, u32, Event)> = (0..200)
-            .map(|i| {
-                let t = (i * 7) % 23;
-                let lane = (i * 13) % 5;
-                (t, lane as u32, Event::StageInDone(JobId(i)))
-            })
-            .collect();
-        let run = |shards: usize| -> Vec<(EventKey, Event)> {
-            let mut q = EventQueue::with_shards(shards);
-            for &(t, lane, ev) in &pushes {
-                q.push_lane(SimTime(t), LaneId(lane), ev);
-            }
-            std::iter::from_fn(|| q.pop_keyed()).collect()
-        };
-        let baseline = run(1);
-        for shards in [2, 4, 16] {
-            assert_eq!(run(shards), baseline, "shards={shards}");
-        }
-        // And the merged stream really is sorted by the full key.
-        assert!(baseline.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
     fn lane_seq_counters_are_independent() {
-        let mut q = EventQueue::with_shards(3);
+        let mut q = EventQueue::new();
         let a = q.push_lane(SimTime(1), LaneId(4), Event::Negotiate);
         let b = q.push_lane(SimTime(1), LaneId(9), Event::Negotiate);
         let c = q.push_lane(SimTime(1), LaneId(4), Event::Negotiate);
         assert_eq!(a.seq, 0);
         assert_eq!(b.seq, 0);
         assert_eq!(c.seq, 1);
-        assert_eq!(q.num_shards(), 3);
     }
 }

@@ -2,12 +2,12 @@
 //! differential-determinism harness, and the benches.
 //!
 //! Each builder runs a fully-specified workload on a fixed seed and
-//! returns the [`RunReport`]; the only free parameter is the event-queue
-//! **shard count**, which the determinism contract says must never
-//! change a byte of output. `tests/golden_ulog.rs` pins each scenario's
-//! ULOG bytes at `shards = 1`; `tests/des_differential.rs` re-runs the
-//! same builders across the {threads} × {shards} matrix and asserts
-//! byte-identity against those very fixtures.
+//! returns the [`RunReport`]; the only parameter is the telemetry
+//! handle, which must never change a byte of output.
+//! `tests/golden_ulog.rs` pins each scenario's ULOG bytes against a
+//! committed fixture; `tests/des_differential.rs` re-runs the same
+//! builders at several `FDW_THREADS` counts and asserts identical
+//! digests.
 
 use fdw_obs::Obs;
 
@@ -144,7 +144,7 @@ fn quiet_pool(target_slots: usize, glidein_slots: usize) -> PoolConfig {
 
 /// Transient transfer failures and policy holds under a fixed fault
 /// seed: the scenario behind `faulty_run.log`.
-pub fn faulty_run(shards: usize, obs: Obs) -> RunReport {
+pub fn faulty_run(obs: Obs) -> RunReport {
     let cfg = ClusterConfig {
         pool: quiet_pool(4, 2),
         faults: FaultConfig {
@@ -154,7 +154,6 @@ pub fn faulty_run(shards: usize, obs: Obs) -> RunReport {
             hold_release_s: 120.0,
             ..Default::default()
         },
-        shards,
         ..ClusterConfig::with_cache()
     };
     Cluster::new(cfg, 11).with_obs(obs).run(&mut Bag::new(6))
@@ -163,13 +162,12 @@ pub fn faulty_run(shards: usize, obs: Obs) -> RunReport {
 /// Two owners mixing big (16 GB) and small jobs in a half-big pool,
 /// exercising the negotiation hold-back buffer: the scenario behind
 /// `holdback_run.log`.
-pub fn holdback_run(shards: usize, obs: Obs) -> RunReport {
+pub fn holdback_run(obs: Obs) -> RunReport {
     let cfg = ClusterConfig {
         pool: PoolConfig {
             big_slot_fraction: 0.5,
             ..quiet_pool(8, 2)
         },
-        shards,
         ..ClusterConfig::with_cache()
     };
     let mut pending = Vec::new();
@@ -196,7 +194,7 @@ pub fn holdback_run(shards: usize, obs: Obs) -> RunReport {
 /// Black holes plus silent cache corruption with the scoreboard and
 /// checksum defenses on, under a retrying driver: the scenario behind
 /// `defended_run.log`.
-pub fn defended_run(shards: usize, obs: Obs) -> RunReport {
+pub fn defended_run(obs: Obs) -> RunReport {
     let cfg = ClusterConfig {
         pool: quiet_pool(8, 1),
         faults: FaultConfig {
@@ -210,7 +208,6 @@ pub fn defended_run(shards: usize, obs: Obs) -> RunReport {
             checksum_enabled: true,
             ..Default::default()
         },
-        shards,
         ..ClusterConfig::with_cache()
     };
     let specs: Vec<JobSpec> = (0..10)
@@ -233,7 +230,7 @@ pub fn defended_run(shards: usize, obs: Obs) -> RunReport {
 /// pool, a network partition stalling ospool stage-ins, and cloud spot
 /// reclamation — with failover and checkpointing on: the scenario
 /// behind `failover_run.log`.
-pub fn failover_run(shards: usize, obs: Obs) -> RunReport {
+pub fn failover_run(obs: Obs) -> RunReport {
     let cfg = ClusterConfig {
         pool: quiet_pool(24, 4),
         federation: FederationConfig {
@@ -261,7 +258,6 @@ pub fn failover_run(shards: usize, obs: Obs) -> RunReport {
             },
             ..Default::default()
         },
-        shards,
         ..ClusterConfig::with_cache()
     };
     let specs: Vec<JobSpec> = (0..40)
@@ -287,14 +283,11 @@ pub fn failover_run(shards: usize, obs: Obs) -> RunReport {
         .run(&mut Bag::from_requests(pending))
 }
 
-/// A compact federated run built to push job events *across the shard
-/// boundary*: an early outage of the dedicated pool displaces running
-/// jobs whose next match lands in a different pool — a different lane,
-/// and (at `shards > 1`) a different physical heap — emitting ULOG 030
-/// migration lines. The scenario behind `sharded_run.log`, whose
-/// fixture is regenerated at `shards = 4` and must byte-match every
-/// other shard count.
-pub fn sharded_run(shards: usize, obs: Obs) -> RunReport {
+/// A compact federated run built to push job events *across lanes*: an
+/// early outage of the dedicated pool displaces running jobs whose next
+/// match lands in a different pool — a different lane — emitting ULOG
+/// 030 migration lines. The scenario behind `migration_run.log`.
+pub fn migration_run(obs: Obs) -> RunReport {
     let cfg = ClusterConfig {
         pool: quiet_pool(12, 2),
         federation: FederationConfig {
@@ -316,7 +309,6 @@ pub fn sharded_run(shards: usize, obs: Obs) -> RunReport {
             },
             ..Default::default()
         },
-        shards,
         ..ClusterConfig::with_cache()
     };
     let specs: Vec<JobSpec> = (0..12)

@@ -1,22 +1,18 @@
-//! Differential-determinism harness for the sharded DES engine.
+//! Differential-determinism harness for the DES engines.
 //!
-//! The contract under test: the number of event-queue shards and the
-//! number of worker threads are *performance* knobs — neither may change
-//! a single observable byte. Three layers of evidence:
+//! The contract under test: the number of worker threads is a
+//! *performance* knob — it may not change a single observable byte.
+//! Two layers of evidence:
 //!
-//! 1. **Scenario × shards** (in-process): every golden scenario from
-//!    [`htcsim::scenarios`] re-run at shards ∈ {1, 4, 16} must render
-//!    byte-identical ULOG text and metrics-registry JSON, and match the
-//!    committed `tests/fixtures/*.log` bytes — the byte-compare step
-//!    `scripts/sanitize.sh` used to own, promoted into tier-1 `cargo
-//!    test`.
-//! 2. **Engine × threads** (in-process): the synthetic `ShardedEngine`
+//! 1. **Engine × threads** (in-process): the synthetic `ShardedEngine`
 //!    workload must produce the same [`EngineReport`] — events handled,
 //!    makespan, digest — monolithic vs sharded at 1/2/4/8 threads.
-//! 3. **Scenario × FDW_THREADS** (subprocess): the vendored Rayon shim
+//! 2. **Scenario × FDW_THREADS** (subprocess): the vendored Rayon shim
 //!    reads `FDW_THREADS` once per process, so the thread-count axis is
 //!    driven by re-spawning this test binary with the env var set to
-//!    1/2/8 and comparing the digest lines the worker prints.
+//!    1/2/8 and comparing the digest lines the worker prints for every
+//!    golden scenario from [`htcsim::scenarios`] (whose ULOG bytes
+//!    `tests/golden_ulog.rs` pins against the committed fixtures).
 
 use std::collections::BTreeMap;
 use std::process::Command;
@@ -26,9 +22,9 @@ use htcsim::condor_log::to_condor_log;
 use htcsim::des::{synth_engine, SynthConfig};
 use htcsim::scenarios;
 
-/// A scenario builder from [`htcsim::scenarios`]: shards, telemetry in,
-/// run report out.
-type Scenario = fn(usize, Obs) -> htcsim::cluster::RunReport;
+/// A scenario builder from [`htcsim::scenarios`]: telemetry in, run
+/// report out.
+type Scenario = fn(Obs) -> htcsim::cluster::RunReport;
 
 /// The golden scenarios, paired with their committed fixtures.
 const SCENARIOS: [(&str, Scenario); 5] = [
@@ -36,10 +32,8 @@ const SCENARIOS: [(&str, Scenario); 5] = [
     ("holdback_run", scenarios::holdback_run),
     ("defended_run", scenarios::defended_run),
     ("failover_run", scenarios::failover_run),
-    ("sharded_run", scenarios::sharded_run),
+    ("migration_run", scenarios::migration_run),
 ];
-
-const SHARDS: [usize; 3] = [1, 4, 16];
 
 fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -48,38 +42,6 @@ fn fnv64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-fn fixture(name: &str) -> String {
-    let path = format!("{}/tests/fixtures/{name}.log", env!("CARGO_MANIFEST_DIR"));
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing fixture {path}: {e}"))
-}
-
-#[test]
-fn scenario_bytes_are_invariant_to_shard_count() {
-    for (name, build) in SCENARIOS {
-        let golden = fixture(name);
-        for shards in SHARDS {
-            let obs = Obs::enabled();
-            let report = build(shards, obs.clone());
-            let text = to_condor_log(&report.log);
-            assert_eq!(
-                text, golden,
-                "{name}: ULOG bytes at shards={shards} deviate from the committed fixture"
-            );
-            // Metrics must not depend on shard count either; compare
-            // against a fresh shards=1 run with its own registry.
-            if shards != 1 {
-                let base_obs = Obs::enabled();
-                build(1, base_obs.clone());
-                assert_eq!(
-                    obs.registry_json(),
-                    base_obs.registry_json(),
-                    "{name}: metrics JSON differs between shards=1 and shards={shards}"
-                );
-            }
-        }
-    }
 }
 
 #[test]
@@ -97,8 +59,7 @@ fn engine_reports_are_invariant_to_thread_count() {
 }
 
 /// Worker half of the subprocess axis: when `DES_DIFF_ROLE=worker`, run
-/// every scenario (at shards = 4, the committed-fixture generator count)
-/// plus the synthetic engine sized from the live Rayon pool — the thing
+/// every scenario plus the synthetic engine sized from the live Rayon pool — the thing
 /// `FDW_THREADS` actually steers — and print one digest line per probe.
 /// A plain `cargo test` run (no env var) makes this a no-op.
 #[test]
@@ -108,7 +69,7 @@ fn fdw_threads_worker() {
     }
     for (name, build) in SCENARIOS {
         let obs = Obs::enabled();
-        let report = build(4, obs.clone());
+        let report = build(obs.clone());
         println!(
             "DESDIFF ulog.{name} {:#018x}",
             fnv64(to_condor_log(&report.log).as_bytes())

@@ -6,7 +6,7 @@
 //! reasons and return values — against fixtures under `tests/fixtures/`.
 //! The scenarios themselves live in [`htcsim::scenarios`], shared with
 //! the differential-determinism harness (`tests/des_differential.rs`)
-//! that re-runs them across the {threads} × {shards} matrix.
+//! that re-runs them at several `FDW_THREADS` counts.
 //!
 //! To regenerate after an intentional format change:
 //! `GOLDEN_REGEN=1 cargo test -p htcsim --test golden_ulog` (then review
@@ -139,8 +139,8 @@ fn holdback_negotiation_is_byte_identical_and_matches_golden() {
     // changed nothing observable while removing hasher-order dependence.
     let obs_a = Obs::enabled();
     let obs_b = Obs::enabled();
-    let a = scenarios::holdback_run(1, obs_a.clone());
-    let b = scenarios::holdback_run(1, obs_b.clone());
+    let a = scenarios::holdback_run(obs_a.clone());
+    let b = scenarios::holdback_run(obs_b.clone());
     let text_a = to_condor_log(&a.log);
     let text_b = to_condor_log(&b.log);
     assert_eq!(text_a, text_b, "ULOG bytes differ across identical runs");
@@ -162,11 +162,11 @@ fn holdback_negotiation_is_byte_identical_and_matches_golden() {
 
 #[test]
 fn defended_run_matches_golden_fixture() {
-    let a = scenarios::defended_run(1, Obs::disabled());
+    let a = scenarios::defended_run(Obs::disabled());
     let text = to_condor_log(&a.log);
     // Byte-determinism first: the defenses add scoreboard state to the
     // negotiation path, and none of it may depend on hasher order.
-    let b = scenarios::defended_run(1, Obs::disabled());
+    let b = scenarios::defended_run(Obs::disabled());
     assert_eq!(
         text,
         to_condor_log(&b.log),
@@ -190,12 +190,12 @@ fn defended_run_matches_golden_fixture() {
 
 #[test]
 fn failover_run_matches_golden_fixture() {
-    let a = scenarios::failover_run(1, Obs::disabled());
+    let a = scenarios::failover_run(Obs::disabled());
     let text = to_condor_log(&a.log);
     // Byte-determinism first: breaker state, drain queues and checkpoint
     // bookkeeping all feed the emission order, and none of it may depend
     // on hasher order.
-    let b = scenarios::failover_run(1, Obs::disabled());
+    let b = scenarios::failover_run(Obs::disabled());
     assert_eq!(
         text,
         to_condor_log(&b.log),
@@ -251,7 +251,7 @@ fn failover_run_matches_golden_fixture() {
 fn simulated_faulty_run_matches_golden_fixture() {
     // Pins the cluster's actual emission order and content, not just the
     // formatter: same seed, same faults, same bytes.
-    let log = scenarios::faulty_run(1, Obs::disabled()).log;
+    let log = scenarios::faulty_run(Obs::disabled()).log;
     let text = to_condor_log(&log);
     assert_golden(&text, "faulty_run.log");
     // The run must actually exercise the hold/release machinery, and the
@@ -267,27 +267,17 @@ fn simulated_faulty_run_matches_golden_fixture() {
 }
 
 #[test]
-fn sharded_run_matches_golden_fixture_across_shard_counts() {
-    // The sharded-path fixture: generated at shards = 4, so a fixture
-    // regeneration exercises the multi-heap merge; the contract says
-    // every shard count renders the identical bytes.
-    let a = scenarios::sharded_run(4, Obs::disabled());
+fn migration_run_matches_golden_fixture() {
+    let a = scenarios::migration_run(Obs::disabled());
     let text = to_condor_log(&a.log);
-    let b = scenarios::sharded_run(1, Obs::disabled());
-    assert_eq!(
-        text,
-        to_condor_log(&b.log),
-        "shard count changed the ULOG bytes"
-    );
-    assert_golden(&text, "sharded_run.log");
+    assert_golden(&text, "migration_run.log");
     assert_eq!(a.completed, 12, "every job must survive the outage");
     // The scenario's point: the outage displaces jobs out of pool 1 and
-    // their re-matches land in another pool — a different lane and (at
-    // shards > 1) a different physical heap — emitting ULOG 030 lines
-    // across the shard boundary.
+    // their re-matches land in another pool — a different lane —
+    // emitting ULOG 030 lines.
     assert!(
         a.federation.migrations > 0,
-        "030 never crossed the shard boundary; fixture is weak"
+        "030 never crossed a lane boundary; fixture is weak"
     );
     assert!(
         text.contains("Job migrated to pool "),

@@ -59,34 +59,26 @@ proptest! {
     }
 
     /// Arbitrary interleavings of same-timestamp events across lanes
-    /// always merge in `(timestamp, lane, seq)` order, the merge is
-    /// invariant to the shard count, and replaying the recorded pop log
-    /// through a fresh queue reproduces the identical pop sequence.
+    /// always pop in `(timestamp, lane, seq)` order, and replaying the
+    /// recorded pop log through a fresh queue reproduces the identical
+    /// pop sequence.
     #[test]
-    fn event_merge_is_shard_invariant_and_replayable(
+    fn event_merge_is_strictly_ordered_and_replayable(
         pushes in proptest::collection::vec((0u64..100, 0u32..8), 1..300),
-        shards in 1usize..20,
     ) {
-        let mut mono = EventQueue::new();
-        let mut sharded = EventQueue::with_shards(shards);
+        let mut q = EventQueue::new();
         for (i, &(t, lane)) in pushes.iter().enumerate() {
-            let ev = Event::StageInDone(JobId(i as u64));
-            mono.push_lane(SimTime(t), LaneId(lane), ev);
-            sharded.push_lane(SimTime(t), LaneId(lane), ev);
+            q.push_lane(SimTime(t), LaneId(lane), Event::StageInDone(JobId(i as u64)));
         }
-        let log: Vec<(EventKey, Event)> = std::iter::from_fn(|| mono.pop_keyed()).collect();
+        let log: Vec<(EventKey, Event)> = std::iter::from_fn(|| q.pop_keyed()).collect();
         prop_assert_eq!(log.len(), pushes.len());
         // Keys pop in strictly increasing (time, lane, seq) order.
         for w in log.windows(2) {
             prop_assert!(w[0].0 < w[1].0);
         }
-        // The k-way merge over `shards` heaps yields the same sequence.
-        let sharded_log: Vec<(EventKey, Event)> =
-            std::iter::from_fn(|| sharded.pop_keyed()).collect();
-        prop_assert_eq!(&sharded_log, &log);
         // Replaying the recorded log (pushing pops back in order) gives
         // back the identical (time, lane, event) pop sequence.
-        let mut replay = EventQueue::with_shards(shards);
+        let mut replay = EventQueue::new();
         for &(k, ev) in &log {
             replay.push_lane(k.time, k.lane, ev);
         }
@@ -232,7 +224,6 @@ proptest! {
         avail in 0.4..1.0f64,
         lifetime in 1800.0..20_000.0f64,
         seed in any::<u64>(),
-        shards in 0usize..6,
     ) {
         use htcsim::cluster::{Cluster, ClusterConfig, WorkloadDriver};
         use htcsim::job::SubmitRequest;
@@ -264,7 +255,6 @@ proptest! {
             faults: Default::default(),
             defense: Default::default(),
             federation: Default::default(),
-            shards,
         };
         let n = 25;
         let specs: Vec<JobSpec> =

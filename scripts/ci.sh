@@ -32,17 +32,20 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> perfbench output checks + waveform_jobs smoke"
+echo "==> perfbench output checks + waveform_jobs and osg_campaign smokes"
 # The benchmark's unit tests assert that every per-item output check
-# catches every named corruption; the smoke run then fails unless the
-# live waveform path passes those checks end to end.
+# catches every named corruption; the smoke runs then fail unless the
+# live waveform path and the simulated campaign (DAG build, cluster DES
+# queue, DAGMan, stats, ULOG) pass those checks end to end.
 cargo test -q --release --manifest-path perfbench/Cargo.toml
-wf_last=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
-  --workload waveform_jobs --seed 1 --seconds 2 --trace 0 | tail -n 1)
-case "$wf_last" in
-  *'"correct":true'*) echo "  waveform_jobs smoke: correct" ;;
-  *) echo "waveform_jobs smoke: last line lacks \"correct\":true: $wf_last"; exit 1 ;;
-esac
+for workload in waveform_jobs osg_campaign; do
+  last=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+  case "$last" in
+    *'"correct":true'*) echo "  $workload smoke: correct" ;;
+    *) echo "$workload smoke: last line lacks \"correct\":true: $last"; exit 1 ;;
+  esac
+done
 
 echo "==> kernel bench smoke (compile + run benches in test mode)"
 cargo bench -q -p fdw-bench --bench kernels -- --test

@@ -12,8 +12,8 @@
 #
 # Not part of scripts/ci.sh: run it by hand or from a scheduled job.
 # (A cargo-test promotion of the byte-compare idea runs on every push:
-# htcsim/tests/des_differential.rs re-runs the golden scenarios across
-# the FDW_THREADS × shards matrix in-process and via subprocesses.)
+# htcsim/tests/des_differential.rs re-runs the golden scenarios at
+# FDW_THREADS ∈ {1, 2, 8} via subprocesses.)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

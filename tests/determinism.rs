@@ -21,7 +21,6 @@ fn cluster() -> ClusterConfig {
         faults: Default::default(),
         defense: Default::default(),
         federation: Default::default(),
-        shards: 1,
     }
 }
 

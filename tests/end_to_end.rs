@@ -25,7 +25,6 @@ fn test_cluster() -> ClusterConfig {
         faults: Default::default(),
         defense: Default::default(),
         federation: Default::default(),
-        shards: 1,
     }
 }
 
